@@ -8,7 +8,7 @@
 //!
 //! Per upgrade iteration a fresh overlay is built, connected, probed
 //! healthy, put under suspicion, and walked end to end with
-//! [`FrontEndpoint::rolling_upgrade`]; the walk must finish with zero
+//! `Maintenance::rolling_upgrade`; the walk must finish with zero
 //! unplanned repairs and the next broadcast must still reach every BE
 //! (`sessions_uninterrupted`). Detection cycles halt one comm silently
 //! (`FrontEndpoint::halt_comm`, the `kill -9` analogue) and time

@@ -48,12 +48,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::control::{parse_reply_header, ParsedReply, HELLO_BANNER, PROTOCOL_VERSION};
+use crate::control::{parse_reply_header, ParsedReply, HELLO_BANNER};
 use crate::daemon::{start_daemon, Daemon, DaemonConfig, DaemonHandle};
 use crate::error::{DaemonError, DaemonResult};
 use crate::responses::{
     AttachResponse, LaunchResponse, RunJobResponse, SessionStatusResponse, StatusResponse,
-    UpgradeResponse,
 };
 
 /// Connect retry schedule for lazy start: exponential backoff from
@@ -114,11 +113,8 @@ impl ClientStream {
 pub struct DaemonClient {
     reader: BufReader<ClientStream>,
     writer: ClientStream,
-    /// The daemon's hello banner, kept for version checks/debugging.
+    /// The daemon's hello banner, kept for debugging.
     banner: String,
-    /// Protocol version negotiated from the banner (see
-    /// [`DaemonClient::negotiated_version`]).
-    negotiated: u32,
 }
 
 impl DaemonClient {
@@ -140,11 +136,8 @@ impl DaemonClient {
     fn handshake(read_half: ClientStream, mut writer: ClientStream) -> DaemonResult<DaemonClient> {
         read_half.set_read_timeout(Some(crate::control::CLIENT_REPLY_TIMEOUT))?;
         let mut reader = BufReader::new(read_half);
-        // Client speaks first (see `control` docs): offer our max version
-        // and take whatever the server's banner answers. A v1 server
-        // ignores the argument and banners `LMOND 1`, so the handshake
-        // line is both the v2 offer and the v1-compatible hello.
-        writeln!(writer, "HELLO {PROTOCOL_VERSION}")?;
+        // Client speaks first (see `control` docs).
+        writeln!(writer, "HELLO")?;
         writer.flush()?;
         let mut banner = String::new();
         reader.read_line(&mut banner)?;
@@ -154,26 +147,12 @@ impl DaemonClient {
                 "unexpected hello {banner:?} (want {HELLO_BANNER:?})"
             )));
         }
-        // Negotiated version = min(ours, the server's banner version).
-        // A malformed/absent version token is treated as a v1 server.
-        let negotiated = banner
-            .split_whitespace()
-            .nth(1)
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(1)
-            .min(PROTOCOL_VERSION);
-        Ok(DaemonClient { reader, writer, banner, negotiated })
+        Ok(DaemonClient { reader, writer, banner })
     }
 
-    /// The daemon's hello banner (e.g. `"LMOND 2 versions=1,2"`).
+    /// The daemon's hello banner (e.g. `"LMOND 2"`).
     pub fn banner(&self) -> &str {
         &self.banner
-    }
-
-    /// The control-protocol version this connection settled on: the lower
-    /// of the client's [`PROTOCOL_VERSION`] and the server's banner.
-    pub fn negotiated_version(&self) -> u32 {
-        self.negotiated
     }
 
     /// Send one request line and return the reply *bytes* verbatim —
@@ -254,15 +233,6 @@ impl DaemonClient {
         let pid_list = pids.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(" ");
         let reply = self.request(&format!("ATTACH {pid_list} {body}"))?;
         AttachResponse::from_reply(reply)
-    }
-
-    /// Run a rolling-upgrade drill (`None` = the daemon's default shape).
-    pub fn upgrade(&mut self, shape: Option<&str>) -> DaemonResult<UpgradeResponse> {
-        let reply = match shape {
-            Some(s) => self.request(&format!("UPGRADE {s}"))?,
-            None => self.request("UPGRADE")?,
-        };
-        UpgradeResponse::from_reply(reply)
     }
 
     /// Daemon-wide status.

@@ -11,13 +11,12 @@
 //! daemon writing first would corrupt HTTP scrapes, which expect the
 //! status line to be the first bytes on the wire.
 //!
-//! The protocol is **versioned** (v2): a client may ask for a version
-//! (`HELLO 2`) and the daemon answers [`HELLO_BANNER`], which names its
-//! newest version and echoes the full supported set (`LMOND 2
-//! versions=1,2`). A bare `HELLO` negotiates v1 — v1 clients only ever
-//! prefix-matched `LMOND`, so they connect unchanged. Unknown verbs get a
-//! typed `unsupported-verb` error naming the connection's negotiated
-//! version ([`ParseError::UnsupportedVerb`]).
+//! There is one protocol. `HELLO` and `HELLO <n>` both get
+//! [`HELLO_BANNER`]; `<n>` must be a number but changes nothing, and a
+//! client that skips the handshake speaks the same grammar. Unknown verbs
+//! get a typed `unsupported-verb` error ([`ParseError::UnsupportedVerb`]),
+//! and a line longer than [`MAX_CONTROL_LINE`] gets `line-too-long` and
+//! ends the connection.
 //!
 //! As a convenience for scrape tooling, a request line that looks like an
 //! HTTP `GET /metrics` is answered with a minimal HTTP/1.0 response carrying
@@ -26,34 +25,21 @@
 
 use std::time::Duration;
 
-/// Highest control-protocol version this daemon speaks.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// Banner the daemon answers a `HELLO` line with. Clients check only the
+/// `LMOND` prefix.
+pub const HELLO_BANNER: &str = "LMOND 2";
 
-/// Every version the daemon accepts, oldest first.
-pub const SUPPORTED_VERSIONS: &[u32] = &[1, 2];
-
-/// Banner the daemon answers a `HELLO` line with: its newest version plus
-/// the full supported set. v1 clients only check the `LMOND` prefix, so
-/// they keep connecting; v2 clients read the version tokens and pick.
-pub const HELLO_BANNER: &str = "LMOND 2 versions=1,2";
-
-/// Pick the version a connection runs at, from the (optional) version the
-/// client's `HELLO` carried. A bare `HELLO` is a v1 client; a client
-/// asking for a newer version than the daemon speaks is clamped down to
-/// [`PROTOCOL_VERSION`] (it learns the daemon's ceiling from the banner).
-pub fn negotiate(requested: Option<u32>) -> u32 {
-    requested.unwrap_or(1).clamp(1, PROTOCOL_VERSION)
-}
+/// Longest request line the daemon reads, in bytes, not counting the
+/// newline. The longest legitimate line is an `ATTACH` pid list; the bound
+/// keeps a peer that never sends a newline from growing daemon memory.
+pub const MAX_CONTROL_LINE: usize = 64 * 1024;
 
 /// A parsed control request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Protocol handshake: answered with the raw [`HELLO_BANNER`] line.
-    Hello {
-        /// Version the client asked for (`HELLO 2`); a bare `HELLO` is a
-        /// v1 client.
-        version: Option<u32>,
-    },
+    /// Protocol handshake (`HELLO [<n>]`): answered with the raw
+    /// [`HELLO_BANNER`] line.
+    Hello,
     /// Liveness probe.
     Ping,
     /// Admit (queueing if necessary) and launch a session.
@@ -83,13 +69,6 @@ pub enum Request {
         nodes: usize,
         /// Application tasks per node.
         tasks_per_node: usize,
-    },
-    /// Rolling upgrade drill: build an overlay with a hot-spare pool and
-    /// replace every interior comm daemon one at a time (DESIGN.md §12).
-    Upgrade {
-        /// Overlay shape (`FANOUTxWIDTHxLEAVES[+SPARES]`); daemon default
-        /// when omitted.
-        shape: Option<String>,
     },
     /// Daemon-wide status summary.
     Status,
@@ -124,31 +103,21 @@ pub const DEFAULT_BODY: &str = "sleeper";
 
 /// Why a request line failed to parse. The two cases render differently:
 /// a malformed known verb carries its usage string, while an unknown verb
-/// becomes a typed `unsupported-verb` error naming the connection's
-/// negotiated version and the daemon's supported set
-/// ([`ParseError::reply`]).
+/// becomes a typed `unsupported-verb` error ([`ParseError::reply`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
     /// A known verb with bad arguments; carries the reason/usage text.
     Malformed(String),
-    /// A verb the daemon does not speak (at any version); carries the verb.
+    /// A verb the daemon does not speak; carries the verb.
     UnsupportedVerb(String),
 }
 
 impl ParseError {
-    /// The `ERR` reply for this parse failure on a connection negotiated
-    /// at `version`.
-    pub fn reply(&self, version: u32) -> Reply {
-        match self {
-            ParseError::Malformed(reason) => Reply::Err(reason.clone()),
-            ParseError::UnsupportedVerb(verb) => {
-                let supported =
-                    SUPPORTED_VERSIONS.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
-                Reply::Err(format!(
-                    "unsupported-verb {verb:?} version={version} supported={supported}"
-                ))
-            }
-        }
+    /// The `ERR` reply for this parse failure. The argument, the version a
+    /// client's `HELLO` named, does not change the reply (there is one
+    /// protocol); it stays so that callers passing it keep compiling.
+    pub fn reply(&self, _version: u32) -> Reply {
+        Reply::Err(self.to_string())
     }
 }
 
@@ -174,9 +143,10 @@ impl Request {
         };
         let rest: Vec<&str> = toks.collect();
         match (cmd.to_ascii_uppercase().as_str(), rest.as_slice()) {
-            ("HELLO", []) => Ok(Request::Hello { version: None }),
+            ("HELLO", []) => Ok(Request::Hello),
             ("HELLO", [v, ..]) => {
-                Ok(Request::Hello { version: Some(parse_num(v, "protocol version")?) })
+                parse_num::<u32>(v, "protocol version")?;
+                Ok(Request::Hello)
             }
             ("PING", []) => Ok(Request::Ping),
             ("LAUNCH", [app, nodes, tpn]) => Ok(Request::Launch {
@@ -216,9 +186,6 @@ impl Request {
                 tasks_per_node: parse_num(tpn, "tasks_per_node")?,
             }),
             ("RUNJOB", _) => Err(malformed("usage: RUNJOB <app> <nodes> <tasks_per_node>")),
-            ("UPGRADE", []) => Ok(Request::Upgrade { shape: None }),
-            ("UPGRADE", [shape]) => Ok(Request::Upgrade { shape: Some((*shape).to_string()) }),
-            ("UPGRADE", _) => Err(malformed("usage: UPGRADE [shape]")),
             ("STATUS", []) => Ok(Request::Status),
             ("STATUS", [gsid]) => Ok(Request::SessionStatus { gsid: parse_num(gsid, "gsid")? }),
             ("DETACH", [gsid]) => Ok(Request::Detach { gsid: parse_num(gsid, "gsid")? }),
@@ -333,8 +300,8 @@ mod tests {
 
     #[test]
     fn parses_the_full_grammar() {
-        assert_eq!(Request::parse("HELLO").unwrap(), Request::Hello { version: None });
-        assert_eq!(Request::parse("HELLO 2").unwrap(), Request::Hello { version: Some(2) });
+        assert_eq!(Request::parse("HELLO").unwrap(), Request::Hello);
+        assert_eq!(Request::parse("HELLO 2").unwrap(), Request::Hello);
         assert_eq!(Request::parse("PING").unwrap(), Request::Ping);
         assert_eq!(
             Request::parse("LAUNCH app 4 2").unwrap(),
@@ -366,11 +333,6 @@ mod tests {
             Request::parse("RUNJOB app 4 2").unwrap(),
             Request::RunJob { app: "app".into(), nodes: 4, tasks_per_node: 2 }
         );
-        assert_eq!(Request::parse("UPGRADE").unwrap(), Request::Upgrade { shape: None });
-        assert_eq!(
-            Request::parse("UPGRADE 1x4x16+4").unwrap(),
-            Request::Upgrade { shape: Some("1x4x16+4".into()) }
-        );
         assert_eq!(Request::parse("STATUS").unwrap(), Request::Status);
         assert_eq!(Request::parse("STATUS 17").unwrap(), Request::SessionStatus { gsid: 17 });
         assert_eq!(Request::parse("DETACH 3").unwrap(), Request::Detach { gsid: 3 });
@@ -394,7 +356,6 @@ mod tests {
         assert!(reason("ATTACH body 17").contains("bad pid"));
         assert!(reason("ATTACH oneshot").contains("usage"));
         assert!(reason("RUNJOB app 4").contains("usage"));
-        assert!(reason("UPGRADE a b").contains("usage"));
         assert!(reason("HELLO two").contains("bad protocol version"));
         // Malformed known verbs are not "unsupported": the typed variant
         // is reserved for verbs the daemon does not speak at all.
@@ -402,26 +363,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_verbs_are_typed_and_name_the_negotiated_version() {
+    fn unknown_verbs_are_typed() {
         let err = Request::parse("FROB 1").unwrap_err();
         assert_eq!(err, ParseError::UnsupportedVerb("FROB".into()));
-        let rendered = err.reply(2).render();
-        assert_eq!(rendered, "ERR unsupported-verb \"FROB\" version=2 supported=1,2\n");
-        // The same failure on a v1 connection names v1.
-        assert!(err.reply(1).render().contains("version=1"));
-    }
-
-    #[test]
-    fn negotiation_clamps_to_the_supported_set() {
-        assert_eq!(negotiate(None), 1, "a bare HELLO is a v1 client");
-        assert_eq!(negotiate(Some(1)), 1);
-        assert_eq!(negotiate(Some(2)), 2);
-        assert_eq!(negotiate(Some(99)), PROTOCOL_VERSION, "future clients clamp down");
-        assert_eq!(negotiate(Some(0)), 1);
-        assert!(HELLO_BANNER.starts_with("LMOND"), "v1 clients prefix-match the banner");
-        for v in SUPPORTED_VERSIONS {
-            assert!(HELLO_BANNER.contains(&v.to_string()), "banner echoes the supported set");
-        }
+        assert_eq!(err.reply(2).render(), "ERR unsupported-verb \"FROB\"\n");
+        // `UPGRADE` is not a verb: it gets the typed error, not a usage string.
+        assert_eq!(
+            Request::parse("UPGRADE").unwrap_err(),
+            ParseError::UnsupportedVerb("UPGRADE".into())
+        );
     }
 
     #[test]

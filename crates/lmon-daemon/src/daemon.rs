@@ -2,14 +2,14 @@
 //! the control-connection serve loop.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -23,24 +23,11 @@ use lmon_core::HealthState;
 use lmon_proto::payload::DaemonSpec;
 use lmon_rm::api::{JobSpec, ResourceManager};
 use lmon_rm::SlurmRm;
-use lmon_tbon::filter::{FilterKind, FilterRegistry};
-use lmon_tbon::overlay::{run_comm_node, FrontEndpoint, LeafEvent, Overlay, UpgradeReport};
-use lmon_tbon::recovery::OverlayStats;
-use lmon_tbon::spec::TopologySpec;
-use lmon_tbon::{PhiAccrualParams, SuspicionTable};
 
 use crate::admission::{AdmissionError, AdmissionQueue, Permit};
-use crate::control::{negotiate, Reply, Request, HELLO_BANNER, SUPPORTED_VERSIONS};
+use crate::control::{Reply, Request, HELLO_BANNER, MAX_CONTROL_LINE};
 use crate::error::{DaemonError, DaemonResult};
 use crate::metrics::{render_prometheus, MetricsSnapshot};
-
-/// Overlay shape an `UPGRADE` request drills when none is given: a designed
-/// fan-out of 4 over 16 leaves, with one hot spare per interior comm.
-pub const DEFAULT_UPGRADE_SHAPE: &str = "1x4x16+4";
-
-/// Suspicion tables retained for `/metrics` (most recent drills only, so a
-/// long-lived daemon's scrape payload stays bounded).
-const SUSPICION_TABLES_CAP: usize = 4;
 
 /// Tunables for a daemon instance. `Default` is sized for tests and small
 /// deployments; production embedders scale the pool and cluster.
@@ -82,7 +69,6 @@ impl Default for DaemonConfig {
 /// One pooled front end and the virtual cluster behind it.
 struct Backend {
     fe: Arc<LmonFrontEnd>,
-    #[allow(dead_code)] // kept alive for the backend's lifetime + debugging
     cluster: VirtualCluster,
 }
 
@@ -166,16 +152,11 @@ pub struct Daemon {
     next_gsid: AtomicU64,
     admission: Arc<AdmissionQueue>,
     bodies: Mutex<HashMap<String, BeMain>>,
-    overlay_stats: Arc<OverlayStats>,
     launches_total: AtomicU64,
     launch_failures_total: AtomicU64,
     active_conns: AtomicUsize,
     shutting_down: AtomicBool,
     started_at: Instant,
-    upgrades_run: AtomicU64,
-    /// Live suspicion tables from recent upgrade drills (bounded; exported
-    /// as the per-child suspicion gauge on `/metrics`).
-    suspicion_tables: Mutex<Vec<Arc<SuspicionTable>>>,
     /// Bound control endpoints, recorded by [`start_daemon`] so that
     /// [`Daemon::begin_shutdown`] can poke its own blocking accept loops
     /// awake (a `SHUTDOWN` arriving on one listener must unblock both).
@@ -214,14 +195,11 @@ impl Daemon {
             next_gsid: AtomicU64::new(1),
             admission,
             bodies: Mutex::new(HashMap::new()),
-            overlay_stats: Arc::new(OverlayStats::default()),
             launches_total: AtomicU64::new(0),
             launch_failures_total: AtomicU64::new(0),
             active_conns: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             started_at: Instant::now(),
-            upgrades_run: AtomicU64::new(0),
-            suspicion_tables: Mutex::new(Vec::new()),
             endpoints: Mutex::new(BoundEndpoints::default()),
             cfg,
         });
@@ -250,27 +228,9 @@ impl Daemon {
         self.bodies.lock().insert(name.into(), body);
     }
 
-    /// Shared overlay-recovery counters: TBON workloads run next to this
-    /// daemon feed them, `/metrics` exports them.
-    pub fn overlay_stats(&self) -> Arc<OverlayStats> {
-        Arc::clone(&self.overlay_stats)
-    }
-
     /// The admission queue (stats inspection, embedder-driven admission).
     pub fn admission(&self) -> &Arc<AdmissionQueue> {
         &self.admission
-    }
-
-    /// Register a suspicion table for `/metrics` export. Only the 4 most
-    /// recent tables are retained (`SUSPICION_TABLES_CAP`) — stale drills
-    /// age out instead of growing the scrape payload forever.
-    pub fn register_suspicion_table(&self, table: Arc<SuspicionTable>) {
-        let mut tables = self.suspicion_tables.lock();
-        tables.push(table);
-        if tables.len() > SUSPICION_TABLES_CAP {
-            let excess = tables.len() - SUSPICION_TABLES_CAP;
-            tables.drain(..excess);
-        }
     }
 
     /// Chaos/test hook: the front end behind backend `idx` (the round-robin
@@ -432,15 +392,7 @@ impl Daemon {
     /// API used by tests that bypass sockets).
     pub fn dispatch(&self, req: &Request) -> Reply {
         match req {
-            Request::Hello { version } => {
-                let supported =
-                    SUPPORTED_VERSIONS.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
-                Reply::ok(&[
-                    ("banner", HELLO_BANNER.replace(' ', "/")),
-                    ("version", negotiate(*version).to_string()),
-                    ("supported", supported),
-                ])
-            }
+            Request::Hello => Reply::ok(&[("banner", HELLO_BANNER.replace(' ', "/"))]),
             Request::Ping => Reply::ok(&[
                 ("pong", "1".into()),
                 ("uptime_s", self.started_at.elapsed().as_secs().to_string()),
@@ -452,7 +404,6 @@ impl Daemon {
             Request::RunJob { app, nodes, tasks_per_node } => {
                 self.handle_runjob(app, *nodes, *tasks_per_node)
             }
-            Request::Upgrade { shape } => self.handle_upgrade(shape.as_deref()),
             Request::Status => self.handle_status(),
             Request::SessionStatus { gsid } => self.handle_session_status(*gsid),
             Request::Detach { gsid } => self.handle_end(*gsid, false),
@@ -663,85 +614,6 @@ impl Daemon {
         ])
     }
 
-    /// Rolling-upgrade drill (DESIGN.md §12): bring up an overlay with a
-    /// hot-spare pool next to the session fabric, replace every interior
-    /// comm daemon one drain at a time, and verify end-to-end waves before
-    /// and after. The overlay shares the daemon's stats ledger, so every
-    /// drain/spare/suspicion counter lands on `/metrics`, and the drill's
-    /// suspicion table stays registered for the per-child gauge.
-    fn handle_upgrade(&self, shape: Option<&str>) -> Reply {
-        let shape = shape.unwrap_or(DEFAULT_UPGRADE_SHAPE);
-        let spec = match TopologySpec::parse(shape) {
-            Ok(s) => s,
-            Err(e) => return Reply::Err(format!("bad shape {shape:?}: {e}")),
-        };
-        // The drill holds an admission slot like any session: a storm of
-        // UPGRADE requests queues instead of stacking overlay threads.
-        let permit = match self.admission.admit() {
-            Ok(p) => p,
-            Err(e @ AdmissionError::QueueFull { .. }) => return Reply::Err(format!("busy: {e}")),
-            Err(e @ AdmissionError::Closed) => return Reply::Err(format!("shutdown: {e}")),
-        };
-
-        let leaves = spec.leaf_count();
-        let overlay = Overlay::build_shared(&spec, FilterRegistry::new(), self.overlay_stats());
-        let mut handles = Vec::new();
-        for harness in overlay.comm {
-            handles.push(std::thread::spawn(move || run_comm_node(harness, FilterRegistry::new())));
-        }
-        for leaf in overlay.leaves {
-            handles.push(std::thread::spawn(move || {
-                let _ = leaf.send_hello();
-                loop {
-                    match leaf.recv() {
-                        Ok(LeafEvent::Data(pkt)) => {
-                            let _ = leaf.send_up(pkt.stream, pkt.tag, vec![leaf.leaf_index as u8]);
-                        }
-                        Ok(LeafEvent::StreamOpened(_)) => continue,
-                        Ok(LeafEvent::Shutdown) | Err(_) => return,
-                    }
-                }
-            }));
-        }
-
-        let mut front = overlay.front;
-        let result = run_upgrade_drill(&mut front, leaves);
-        front.shutdown();
-        for h in handles {
-            let _ = h.join();
-        }
-        drop(permit);
-
-        match result {
-            Ok((table, report)) => {
-                self.register_suspicion_table(table);
-                self.upgrades_run.fetch_add(1, Ordering::Relaxed);
-                let mut drains_us: Vec<u128> =
-                    report.steps.iter().map(|s| s.drain.as_micros()).collect();
-                drains_us.sort_unstable();
-                let pct = |q: f64| -> u128 {
-                    if drains_us.is_empty() {
-                        0
-                    } else {
-                        drains_us[((drains_us.len() - 1) as f64 * q).round() as usize]
-                    }
-                };
-                let spares_used = report.steps.iter().filter(|s| s.spare_used.is_some()).count();
-                Reply::ok(&[
-                    ("shape", shape.to_string()),
-                    ("nodes_upgraded", report.steps.len().to_string()),
-                    ("spares_used", spares_used.to_string()),
-                    ("unplanned_repairs", report.unplanned_repairs.to_string()),
-                    ("epoch", report.epoch.to_string()),
-                    ("drain_p50_us", pct(0.50).to_string()),
-                    ("drain_p99_us", pct(0.99).to_string()),
-                    ("waves_intact", "1".into()),
-                ])
-            }
-            Err(e) => Reply::Err(format!("upgrade drill failed: {e}")),
-        }
-    }
-
     fn handle_status(&self) -> Reply {
         let adm = self.admission.stats();
         Reply::ok(&[
@@ -758,7 +630,6 @@ impl Daemon {
             ("rejected", adm.rejected_total.to_string()),
             ("launches", self.launches_total.load(Ordering::Relaxed).to_string()),
             ("failures", self.launch_failures_total.load(Ordering::Relaxed).to_string()),
-            ("upgrades", self.upgrades_run.load(Ordering::Relaxed).to_string()),
             ("limit", self.admission.limit().to_string()),
             ("queue_capacity", self.cfg.queue_capacity.to_string()),
         ])
@@ -816,17 +687,6 @@ impl Daemon {
         let draining: usize = healths.iter().map(|h| h.draining_sessions).sum();
         let upgraded: usize = healths.iter().map(|h| h.upgraded_sessions).sum();
         let active = self.sessions_active();
-        let suspicion_levels = self
-            .suspicion_tables
-            .lock()
-            .iter()
-            .enumerate()
-            .flat_map(|(overlay, table)| {
-                table.snapshot().into_iter().map(move |(pos, entry)| {
-                    (overlay, format!("{}:{}", pos.level, pos.index), entry.level as u8)
-                })
-            })
-            .collect();
         MetricsSnapshot {
             uptime: self.started_at.elapsed(),
             fed_groups: self.groups,
@@ -838,7 +698,6 @@ impl Daemon {
             admission: self.admission.stats(),
             transports,
             healths,
-            overlay: self.overlay_stats.snapshot(),
             health_states: vec![
                 // Approximation: a session is healthy unless its (live or
                 // recently retired) monitor says otherwise.
@@ -851,7 +710,6 @@ impl Daemon {
                 (HealthState::Draining, draining),
                 (HealthState::Upgraded, upgraded),
             ],
-            suspicion_levels,
         }
     }
 
@@ -865,28 +723,34 @@ impl Daemon {
     /// Serve one control connection until EOF or `SHUTDOWN`. The client
     /// speaks first (a `HELLO` line, or directly a command): writing the
     /// banner unprompted would corrupt HTTP `GET /metrics` scrapes, whose
-    /// clients expect the status line to open the byte stream.
-    fn serve_conn<S: std::io::Read + Write>(self: &Arc<Self>, stream: S, writer: &mut S) {
+    /// clients expect the status line to open the byte stream. A line
+    /// longer than [`MAX_CONTROL_LINE`] is answered `ERR line-too-long`
+    /// and ends the connection, so a peer that never sends a newline
+    /// cannot grow the daemon's memory.
+    fn serve_conn<S: Read + Write>(self: &Arc<Self>, stream: S, writer: &mut S) {
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        // Until a HELLO negotiates otherwise, a connection is a v1 client
-        // (v1 clients may skip the handshake and go straight to verbs).
-        let mut negotiated: u32 = 1;
+        let mut line = Vec::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            // One byte past the cap (the newline of a maximal line) so an
+            // over-long line is told apart from one that fits exactly.
+            match (&mut reader).take(MAX_CONTROL_LINE as u64 + 1).read_until(b'\n', &mut line) {
                 Ok(0) | Err(_) => return, // client went away
                 Ok(_) => {}
             }
-            let trimmed = line.trim_end();
+            if line.len() > MAX_CONTROL_LINE && line.last() != Some(&b'\n') {
+                let reply = Reply::Err(format!("line-too-long limit={MAX_CONTROL_LINE}"));
+                let _ = writer.write_all(reply.render().as_bytes());
+                let _ = writer.flush();
+                return;
+            }
+            let Ok(text) = std::str::from_utf8(&line) else { return };
+            let trimmed = text.trim_end();
             if trimmed.is_empty() {
                 continue;
             }
             match Request::parse(trimmed) {
-                Ok(Request::Hello { version }) => {
-                    negotiated = negotiate(version);
-                    // The banner always advertises the full supported set;
-                    // the client takes the min (see `control` docs).
+                Ok(Request::Hello) => {
                     if writeln!(writer, "{HELLO_BANNER}").is_err() || writer.flush().is_err() {
                         return;
                     }
@@ -909,45 +773,13 @@ impl Daemon {
                     }
                 }
                 Err(err) => {
-                    // Typed parse errors: unknown verbs name the negotiated
-                    // version and the supported set (satellite 1).
-                    if writer.write_all(err.reply(negotiated).render().as_bytes()).is_err() {
+                    if writer.write_all(err.reply(0).render().as_bytes()).is_err() {
                         return;
                     }
                 }
             }
         }
     }
-}
-
-/// The measured body of an `UPGRADE` drill: connect, arm background
-/// suspicion, prove a healthy end-to-end wave, walk the rolling upgrade,
-/// prove the post-upgrade wave. Separated from the handler so teardown
-/// (shutdown + thread joins + permit release) runs on every exit path.
-fn run_upgrade_drill(
-    front: &mut FrontEndpoint,
-    leaves: u32,
-) -> Result<(Arc<SuspicionTable>, UpgradeReport), String> {
-    let step = Duration::from_secs(20);
-    front.await_connections(leaves, step).map_err(|e| format!("connect: {e}"))?;
-    let table = front.maintenance().start_suspicion(PhiAccrualParams::default());
-    let stream = front.open_stream(FilterKind::Concat).map_err(|e| format!("open stream: {e}"))?;
-
-    front.broadcast(stream, 1, vec![]).map_err(|e| format!("pre-upgrade broadcast: {e}"))?;
-    let pkt = front.gather(stream, 1, step).map_err(|e| format!("pre-upgrade gather: {e}"))?;
-    if pkt.payload.len() != leaves as usize {
-        return Err(format!("pre-upgrade wave incomplete: {} of {leaves}", pkt.payload.len()));
-    }
-
-    let report =
-        front.maintenance().rolling_upgrade(step).map_err(|e| format!("rolling upgrade: {e}"))?;
-
-    front.broadcast(stream, 2, vec![]).map_err(|e| format!("post-upgrade broadcast: {e}"))?;
-    let pkt = front.gather(stream, 2, step).map_err(|e| format!("post-upgrade gather: {e}"))?;
-    if pkt.payload.len() != leaves as usize {
-        return Err(format!("post-upgrade wave incomplete: {} of {leaves}", pkt.payload.len()));
-    }
-    Ok((table, report))
 }
 
 /// Minimal HTTP/1.0 response for `GET /metrics` scrapes.

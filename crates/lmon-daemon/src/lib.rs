@@ -18,10 +18,10 @@
 //! becomes it, with the socket bind as the race-deciding mutex
 //! ([`client::connect_or_start`]). Observability is a text `/metrics`
 //! endpoint in Prometheus exposition format ([`metrics`]), exporting
-//! transport, overlay-recovery, admission, and health-ledger counters.
+//! transport, admission, and health-ledger counters.
 //!
-//! Layering: tier 3 (tools layer). Depends on the core FE/engine, the RM
-//! shims, and the TBON overlay; nothing in tiers 1–2 knows about it.
+//! Layering: tier 3 (tools layer). Depends on the core FE/engine and the
+//! RM shims; nothing in tiers 1–2 knows about it.
 
 #![warn(missing_docs)]
 
@@ -37,7 +37,7 @@ pub use admission::{AdmissionError, AdmissionQueue, AdmissionStats, Permit};
 #[cfg(unix)]
 pub use client::connect_or_start;
 pub use client::{DaemonClient, LazyStartOutcome};
-pub use control::{negotiate, ParseError, ParsedReply, Reply, Request, PROTOCOL_VERSION};
+pub use control::{ParseError, ParsedReply, Reply, Request};
 #[cfg(unix)]
 pub use daemon::bind_and_start;
 pub use daemon::{start_daemon, Daemon, DaemonConfig, DaemonHandle, FailoverReport, FeShard};
@@ -45,5 +45,4 @@ pub use error::{DaemonError, DaemonResult};
 pub use metrics::{render_prometheus, MetricsSnapshot};
 pub use responses::{
     AttachResponse, LaunchResponse, RunJobResponse, SessionStatusResponse, StatusResponse,
-    UpgradeResponse,
 };

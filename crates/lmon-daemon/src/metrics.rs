@@ -1,12 +1,10 @@
 //! Prometheus exposition rendering for the daemon's `/metrics` endpoint.
 //!
-//! Three existing observability surfaces are exported, unchanged, under a
+//! Two existing observability surfaces are exported, unchanged, under a
 //! stable `lmond_` namespace:
 //!
 //! * `lmon_core::fe::TransportStats` — per-front-end mux accounting (the
 //!   paper's one-channel-per-component invariant as live gauges);
-//! * `lmon_tbon::OverlayStatsSnapshot` — overlay recovery counters
-//!   (DESIGN.md §9);
 //! * `lmon_core::fe::HealthSummary` — the bounded session-health ledger.
 //!
 //! Plus the daemon's own admission/session counters. Everything is plain
@@ -19,7 +17,6 @@ use std::time::Duration;
 
 use lmon_core::fe::{HealthSummary, TransportStats};
 use lmon_core::HealthState;
-use lmon_tbon::OverlayStatsSnapshot;
 
 use crate::admission::AdmissionStats;
 
@@ -46,14 +43,8 @@ pub struct MetricsSnapshot {
     pub transports: Vec<TransportStats>,
     /// One entry per pooled front end, index = `fe` label.
     pub healths: Vec<HealthSummary>,
-    /// Aggregated overlay recovery counters.
-    pub overlay: OverlayStatsSnapshot,
     /// Sessions per current health state, across the pool.
     pub health_states: Vec<(HealthState, usize)>,
-    /// Per-child phi-accrual suspicion levels from recent upgrade drills:
-    /// `(overlay index, "level:index" child label, level)` with level
-    /// 0 = alive, 1 = suspect, 2 = dead (DESIGN.md §12).
-    pub suspicion_levels: Vec<(usize, String, u8)>,
 }
 
 struct Renderer {
@@ -194,113 +185,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         engine_sessions
     );
 
-    // --- OverlayStats ---------------------------------------------------
-    macro_rules! overlay_counter {
-        ($name:literal, $help:literal, $field:ident) => {
-            r.counter($name, $help, snap.overlay.$field);
-        };
-    }
-    overlay_counter!(
-        "lmond_overlay_stale_packets_dropped_total",
-        "Up-packets dropped for carrying a pre-repair epoch.",
-        stale_packets_dropped
-    );
-    overlay_counter!(
-        "lmond_overlay_stale_waves_dropped_total",
-        "Aggregation waves discarded at an epoch bump.",
-        stale_waves_dropped
-    );
-    overlay_counter!(
-        "lmond_overlay_severed_packets_discarded_total",
-        "Up-packets discarded on severed links.",
-        severed_packets_discarded
-    );
-    overlay_counter!(
-        "lmond_overlay_link_down_notices_total",
-        "Deterministic link-close notices sent.",
-        link_down_notices
-    );
-    overlay_counter!(
-        "lmond_overlay_deaths_detected_total",
-        "Node deaths detected at the front end.",
-        deaths_detected
-    );
-    overlay_counter!("lmond_overlay_pings_sent_total", "Heartbeat probes broadcast.", pings_sent);
-    overlay_counter!(
-        "lmond_overlay_pongs_received_total",
-        "Heartbeat responses received.",
-        pongs_received
-    );
-    overlay_counter!(
-        "lmond_overlay_repairs_completed_total",
-        "Grandparent-adoption repairs completed.",
-        repairs_completed
-    );
-    overlay_counter!(
-        "lmond_overlay_orphans_adopted_total",
-        "Orphaned daemons re-parented by repairs.",
-        orphans_adopted
-    );
-
-    // --- planned maintenance (DESIGN.md §12) ----------------------------
-    overlay_counter!(
-        "lmond_overlay_drains_completed_total",
-        "Planned drains completed (comm daemon flushed and detached).",
-        drains_completed
-    );
-    overlay_counter!(
-        "lmond_overlay_spares_registered_total",
-        "Hot spares registered at overlay build time.",
-        spares_registered
-    );
-    overlay_counter!(
-        "lmond_overlay_spares_activated_total",
-        "Hot spares consumed by repairs or upgrades.",
-        spares_activated
-    );
-    r.gauge(
-        "lmond_overlay_spares_idle",
-        "Hot spares still idle in the pool (registered minus activated).",
-        snap.overlay.spares_registered.saturating_sub(snap.overlay.spares_activated),
-    );
-    overlay_counter!(
-        "lmond_overlay_beats_received_total",
-        "Liveness beats received by suspicion monitors.",
-        beats_received
-    );
-    overlay_counter!(
-        "lmond_overlay_suspicions_raised_total",
-        "Nodes whose phi crossed the suspect threshold.",
-        suspicions_raised
-    );
-    overlay_counter!(
-        "lmond_overlay_suspicion_deaths_total",
-        "Silent deaths declared by the phi-accrual detector.",
-        suspicion_deaths
-    );
-    overlay_counter!(
-        "lmond_overlay_upgrades_completed_total",
-        "Comm daemons replaced by completed upgrade steps.",
-        upgrades_completed
-    );
-    overlay_counter!(
-        "lmond_overlay_upgrades_failed_total",
-        "Upgrade steps that failed and fell back to the repair path.",
-        upgrades_failed
-    );
-    r.family(
-        "lmond_overlay_suspicion_level",
-        "gauge",
-        "Per-child phi-accrual suspicion (0=alive, 1=suspect, 2=dead).",
-    );
-    for (overlay, child, level) in &snap.suspicion_levels {
-        r.sample(
-            "lmond_overlay_suspicion_level",
-            &[("overlay", overlay.to_string()), ("child", child.clone())],
-            level,
-        );
-    }
-
     // --- HealthMonitor ledger -------------------------------------------
     macro_rules! per_fe_health {
         ($name:literal, $kind:literal, $help:literal, $field:ident) => {
@@ -402,11 +286,6 @@ mod tests {
                 transitions_recorded: 40,
                 transitions_dropped: 35,
             }],
-            overlay: OverlayStatsSnapshot {
-                spares_registered: 4,
-                spares_activated: 1,
-                ..OverlayStatsSnapshot::default()
-            },
             health_states: vec![
                 (HealthState::Healthy, 2),
                 (HealthState::Degraded, 1),
@@ -414,7 +293,6 @@ mod tests {
                 (HealthState::Draining, 0),
                 (HealthState::Upgraded, 1),
             ],
-            suspicion_levels: vec![(0, "1:0".into(), 0), (0, "1:3".into(), 2)],
         }
     }
 
@@ -423,7 +301,6 @@ mod tests {
         let text = render_prometheus(&snapshot());
         // One representative series per exported surface.
         assert!(text.contains("lmond_transport_be_sessions{fe=\"0\"} 3"), "{text}");
-        assert!(text.contains("lmond_overlay_repairs_completed_total 0"), "{text}");
         assert!(text.contains("lmond_health_transitions_recorded_total{fe=\"0\"} 40"), "{text}");
         assert!(text.contains("lmond_health_sessions{state=\"degraded\"} 1"), "{text}");
         assert!(text.contains("lmond_admission_queue_depth 2"), "{text}");
@@ -432,15 +309,7 @@ mod tests {
         assert!(text.contains("lmond_fed_groups 4"), "{text}");
         assert!(text.contains("lmond_fed_epoch 2"), "{text}");
         assert!(text.contains("lmond_fed_failovers_total 2"), "{text}");
-        // DESIGN.md §12 planned-maintenance families.
-        assert!(text.contains("lmond_overlay_spares_registered_total 4"), "{text}");
-        assert!(text.contains("lmond_overlay_spares_idle 3"), "{text}");
-        assert!(text.contains("lmond_overlay_upgrades_completed_total 0"), "{text}");
         assert!(text.contains("lmond_health_sessions{state=\"upgraded\"} 1"), "{text}");
-        assert!(
-            text.contains("lmond_overlay_suspicion_level{overlay=\"0\",child=\"1:3\"} 2"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -126,47 +126,6 @@ impl AttachResponse {
     }
 }
 
-/// `UPGRADE` reply: the rolling-upgrade drill's report card.
-#[derive(Debug, Clone)]
-pub struct UpgradeResponse {
-    /// Overlay shape the drill ran (`"1x4x16+4"` style).
-    pub shape: String,
-    /// Interior comm daemons replaced.
-    pub nodes_upgraded: usize,
-    /// Replacements satisfied from the hot-spare pool.
-    pub spares_used: usize,
-    /// Unplanned repairs observed mid-drill (0 on a clean run).
-    pub unplanned_repairs: u64,
-    /// Route epoch after the final replacement.
-    pub epoch: u64,
-    /// Median per-node drain time, microseconds.
-    pub drain_p50_us: u64,
-    /// Tail per-node drain time, microseconds.
-    pub drain_p99_us: u64,
-    raw: ParsedReply,
-}
-
-impl UpgradeResponse {
-    /// Parse an `UPGRADE` reply, erroring on missing/malformed fields.
-    pub fn from_reply(raw: ParsedReply) -> DaemonResult<Self> {
-        Ok(UpgradeResponse {
-            shape: required_str(&raw, "shape")?,
-            nodes_upgraded: required(&raw, "nodes_upgraded")?,
-            spares_used: required(&raw, "spares_used")?,
-            unplanned_repairs: required(&raw, "unplanned_repairs")?,
-            epoch: required(&raw, "epoch")?,
-            drain_p50_us: required(&raw, "drain_p50_us")?,
-            drain_p99_us: required(&raw, "drain_p99_us")?,
-            raw,
-        })
-    }
-
-    /// The untyped reply, for raw scrapes.
-    pub fn raw(&self) -> &ParsedReply {
-        &self.raw
-    }
-}
-
 /// `STATUS` reply: daemon-wide gauges and counters.
 #[derive(Debug, Clone)]
 pub struct StatusResponse {
@@ -288,8 +247,8 @@ mod tests {
 
     #[test]
     fn v1_replies_without_group_fields_still_parse() {
-        // A v1 daemon never sends group/fed_* fields; typed views default
-        // them instead of failing, so a v2 CLI works against a v1 server.
+        // Daemons that predate federation send no group/fed_* fields; typed
+        // views default them instead of failing.
         let raw = reply("OK gsid=7 fe=0 daemons=4 wait_ms=0 launch_ms=9");
         assert_eq!(LaunchResponse::from_reply(raw).unwrap().group, 0);
         let raw = reply(

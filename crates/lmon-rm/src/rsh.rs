@@ -6,7 +6,8 @@
 //! remote daemon sequentially; others employ a tree-based protocol allowing
 //! daemons that the tool front end launches to spawn children daemons."
 //!
-//! Both variants are here. The sequential variant is what MRNet 1.x used
+//! Both variants are here; the sequential one is [`RshLauncher::launch_tree`]
+//! with a fan-out equal to the target count. It is what MRNet 1.x used
 //! for STAT, and is the "MRNet 1-deep" curve of Figure 6: each daemon costs
 //! a serial connection on the front end, and every session pins front-end
 //! fds for the daemon's lifetime — so it *fails outright* once the fd table
@@ -55,43 +56,17 @@ impl RshLauncher {
     }
 
     /// The fast default launch path: the tree variant at
-    /// [`DEFAULT_TREE_FANOUT`]. [`launch_sequential`] stays available as
-    /// the measured comparison baseline (the "MRNet 1-deep" curve).
+    /// [`DEFAULT_TREE_FANOUT`]. The sequential baseline (the "MRNet
+    /// 1-deep" curve) is [`launch_tree`] with a fan-out of
+    /// `targets.len()`: every daemon is a root the front end rsh-spawns.
     ///
-    /// [`launch_sequential`]: RshLauncher::launch_sequential
+    /// [`launch_tree`]: RshLauncher::launch_tree
     pub fn launch(
         &self,
         targets: &[(String, ProcSpec)],
         body: RshDaemonBody,
     ) -> Result<RshLaunchResult, (RshError, RshLaunchResult)> {
         self.launch_tree(targets, DEFAULT_TREE_FANOUT, body)
-    }
-
-    /// Sequentially launch one daemon per (host, spec) pair, front end
-    /// forking one rsh at a time.
-    ///
-    /// On failure, every already-launched daemon is killed and reaped and
-    /// its session closed before the error returns — a failed launch must
-    /// never strand daemons (§5.2's "consistently fails" describes the fd
-    /// cliff, not licence to leak). The partial result inside the error
-    /// records the pids that were spawned-then-reaped, for diagnostics.
-    pub fn launch_sequential(
-        &self,
-        targets: &[(String, ProcSpec)],
-        body: RshDaemonBody,
-    ) -> Result<RshLaunchResult, (RshError, RshLaunchResult)> {
-        let mut out = RshLaunchResult { sessions: Vec::new(), pids: Vec::new() };
-        for (host, spec) in targets {
-            let body = body.clone();
-            match rsh_spawn(&self.cluster, host, spec.clone(), move |ctx| body(ctx)) {
-                Ok(session) => {
-                    out.pids.push(session.pid());
-                    out.sessions.push(session);
-                }
-                Err(e) => return Err((e, self.reap_partial(out))),
-            }
-        }
-        Ok(out)
     }
 
     /// Tree-structured ad hoc launch: the front end rsh-spawns the first
@@ -101,10 +76,13 @@ impl RshLauncher {
     ///
     /// Returns pids in BFS order: subtree spawns are fanned out over a
     /// bounded worker pool with pids reserved up front, so placement is
-    /// identical to a sequential walk. On failure the partial set is
-    /// killed and reaped, as in [`launch_sequential`].
+    /// identical to a sequential walk.
     ///
-    /// [`launch_sequential`]: RshLauncher::launch_sequential
+    /// On failure, every already-launched daemon is killed and reaped and
+    /// its session closed before the error returns — a failed launch must
+    /// never strand daemons (§5.2's "consistently fails" describes the fd
+    /// cliff, not licence to leak). The partial result inside the error
+    /// records the pids that were spawned-then-reaped, for diagnostics.
     pub fn launch_tree(
         &self,
         targets: &[(String, ProcSpec)],
@@ -219,7 +197,7 @@ mod tests {
             s2.fetch_add(1, Ordering::SeqCst);
         });
         let targets = per_node_targets(&c, 4, "toold", &[]);
-        let result = launcher.launch_sequential(&targets, body).unwrap();
+        let result = launcher.launch_tree(&targets, targets.len(), body).unwrap();
         assert_eq!(result.pids.len(), 4);
         for pid in &result.pids {
             c.wait_pid(*pid).unwrap();
@@ -241,7 +219,7 @@ mod tests {
             }
         });
         let targets = per_node_targets(&c, 16, "toold", &[]);
-        let (err, partial) = launcher.launch_sequential(&targets, body).unwrap_err();
+        let (err, partial) = launcher.launch_tree(&targets, targets.len(), body).unwrap_err();
         assert!(matches!(err, RshError::ForkFailed { .. }));
         assert_eq!(partial.pids.len(), 8, "eight daemons were spawned before the cliff");
         // The failed launch cleaned up after itself: sessions closed, every
@@ -265,7 +243,7 @@ mod tests {
             }
         });
         let targets = per_node_targets(&c, 8, "toold", &[]);
-        let (_err, partial) = launcher.launch_sequential(&targets, body).unwrap_err();
+        let (_err, partial) = launcher.launch_tree(&targets, targets.len(), body).unwrap_err();
         assert_eq!(partial.pids.len(), 5, "five daemons preceded the faulted host");
         assert!(partial.sessions.is_empty());
         assert_eq!(c.total_live(), 0, "mid-launch fault must strand nothing");

@@ -21,8 +21,7 @@
 //! pre-launches a hot-spare pool that repairs prefer over inflating
 //! sibling fan-out, [`Maintenance::start_suspicion`] runs background
 //! phi-accrual failure detection, and [`Maintenance::rolling_upgrade`]
-//! walks the overlay replacing one comm daemon at a time. The old flat
-//! `FrontEndpoint` methods remain as deprecated shims for one release.
+//! walks the overlay replacing one comm daemon at a time.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -503,12 +502,7 @@ impl FrontEndpoint {
     /// Returns the repair report once the subtree is whole again; on
     /// timeout the node keeps running (the drain guard is rolled back) and
     /// the caller may fall back to [`FrontEndpoint::crash_comm`].
-    #[deprecated(since = "0.1.0", note = "use `fe.maintenance().drain(pos, timeout)`")]
-    pub fn drain_comm(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<RepairReport> {
-        self.drain_comm_inner(pos, timeout)
-    }
-
-    fn drain_comm_inner(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<RepairReport> {
+    fn drain_comm(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<RepairReport> {
         let ctl = self.comm_ctl(pos)?;
         self.events.push(RecoveryEvent::Draining { node: pos, epoch: self.epoch });
         self.draining.lock().insert(pos);
@@ -774,14 +768,9 @@ impl FrontEndpoint {
     /// [`FrontEndpoint::heal_failures`] already look — silent halts feed
     /// the normal repair path with no caller-driven sweep.
     ///
-    /// Returns the live suspicion table (the `/metrics` per-child gauge
-    /// source). The monitor stops when the front end is dropped.
-    #[deprecated(since = "0.1.0", note = "use `fe.maintenance().start_suspicion(params)`")]
-    pub fn start_suspicion(&mut self, params: PhiAccrualParams) -> Arc<SuspicionTable> {
-        self.start_suspicion_inner(params)
-    }
-
-    fn start_suspicion_inner(&mut self, params: PhiAccrualParams) -> Arc<SuspicionTable> {
+    /// Returns the live suspicion table. The monitor stops when the front
+    /// end is dropped.
+    fn start_suspicion(&mut self, params: PhiAccrualParams) -> Arc<SuspicionTable> {
         let (beat_tx, beat_rx) = unbounded();
         {
             let rt = self.route.lock();
@@ -815,14 +804,9 @@ impl FrontEndpoint {
     /// re-attach its subtree (preferring an idle hot spare), then verify
     /// the healed overlay with a full heartbeat sweep. Counted in
     /// `upgrades_completed` / `upgrades_failed`.
-    #[deprecated(since = "0.1.0", note = "use `fe.maintenance().upgrade(pos, timeout)`")]
-    pub fn upgrade_comm(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<UpgradeStep> {
-        self.upgrade_comm_inner(pos, timeout)
-    }
-
-    fn upgrade_comm_inner(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<UpgradeStep> {
+    fn upgrade_comm(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<UpgradeStep> {
         let start = Instant::now();
-        let report = match self.drain_comm_inner(pos, timeout) {
+        let report = match self.drain_comm(pos, timeout) {
             Ok(r) => r,
             Err(e) => {
                 self.stats.add_upgrades_failed(1);
@@ -858,12 +842,7 @@ impl FrontEndpoint {
     /// pauses to heal *unplanned* failures (a crash or suspicion death
     /// that raced the upgrade); a walked node that was repaired away in
     /// the meantime is skipped.
-    #[deprecated(since = "0.1.0", note = "use `fe.maintenance().rolling_upgrade(timeout)`")]
-    pub fn rolling_upgrade(&mut self, per_node_timeout: Duration) -> TbonResult<UpgradeReport> {
-        self.rolling_upgrade_inner(per_node_timeout)
-    }
-
-    fn rolling_upgrade_inner(&mut self, per_node_timeout: Duration) -> TbonResult<UpgradeReport> {
+    fn rolling_upgrade(&mut self, per_node_timeout: Duration) -> TbonResult<UpgradeReport> {
         let mut walk: Vec<NodePos> = {
             let rt = self.route.lock();
             rt.nodes
@@ -881,7 +860,7 @@ impl FrontEndpoint {
             if !self.route.is_alive(pos) {
                 continue;
             }
-            report.steps.push(self.upgrade_comm_inner(pos, per_node_timeout)?);
+            report.steps.push(self.upgrade_comm(pos, per_node_timeout)?);
         }
         let repaired = self.heal_failures()?;
         report.unplanned_repairs += repaired.len();
@@ -978,30 +957,31 @@ pub struct Maintenance<'a> {
 impl Maintenance<'_> {
     /// Planned, loss-free removal of the comm daemon at `pos`: flush its
     /// in-flight waves, detach it, re-parent its subtree under the
-    /// draining guard. See the former `FrontEndpoint::drain_comm` for the
-    /// full contract.
+    /// draining guard, so the teardown never enters the failure ledger. On
+    /// timeout the node keeps running and the caller may fall back to
+    /// [`FrontEndpoint::crash_comm`].
     pub fn drain(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<RepairReport> {
-        self.fe.drain_comm_inner(pos, timeout)
+        self.fe.drain_comm(pos, timeout)
     }
 
     /// Replace one comm daemon: drain it (loss-free), let the repair
     /// re-attach its subtree (preferring an idle hot spare), then verify
     /// the healed overlay with a heartbeat sweep.
     pub fn upgrade(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<UpgradeStep> {
-        self.fe.upgrade_comm_inner(pos, timeout)
+        self.fe.upgrade_comm(pos, timeout)
     }
 
     /// Rolling upgrade: walk every interior comm daemon (deepest level
     /// first) and [`Maintenance::upgrade`] each, healing unplanned
     /// failures between steps.
     pub fn rolling_upgrade(&mut self, per_node_timeout: Duration) -> TbonResult<UpgradeReport> {
-        self.fe.rolling_upgrade_inner(per_node_timeout)
+        self.fe.rolling_upgrade(per_node_timeout)
     }
 
     /// Start background phi-accrual failure suspicion; returns the live
     /// suspicion table. The monitor stops when the front end is dropped.
     pub fn start_suspicion(&mut self, params: PhiAccrualParams) -> Arc<SuspicionTable> {
-        self.fe.start_suspicion_inner(params)
+        self.fe.start_suspicion(params)
     }
 }
 
@@ -2530,28 +2510,6 @@ mod tests {
         let mut got = pkt.payload.to_vec();
         got.sort_unstable();
         assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "zero session interruption");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    /// The one place the deprecated flat maintenance methods are still
-    /// exercised: they must keep delegating to the same machinery for one
-    /// release before removal.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_maintenance_shims_still_delegate() {
-        let (mut front, handles) = run_overlay("1x2x8+2", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let _table = front.start_suspicion(PhiAccrualParams::default());
-        let report = front.drain_comm(pos(1, 0), Duration::from_secs(5)).unwrap();
-        assert_eq!(report.spares_used, vec![pos(1, 2)]);
-        let step = front.upgrade_comm(pos(1, 1), Duration::from_secs(5)).unwrap();
-        assert_eq!(step.spare_used, Some(pos(1, 3)));
-        let rolled = front.rolling_upgrade(Duration::from_secs(5)).unwrap();
-        assert_eq!(rolled.unplanned_repairs, 0);
-        assert_eq!(front.stats().deaths_detected, 0, "shims stay on the planned path");
         front.shutdown();
         for h in handles {
             h.join().unwrap();

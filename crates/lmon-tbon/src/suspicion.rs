@@ -17,7 +17,7 @@
 //!   normal fit of that window (logistic approximation of the normal CDF,
 //!   as in the Hayashibara et al. detector and its Akka implementation);
 //! * suspicion is *graded*: `φ ≥ suspect_phi` raises
-//!   [`SuspicionLevel::Suspect`] (exported via `/metrics`, no action),
+//!   [`SuspicionLevel::Suspect`] (recorded in the table, no action),
 //!   `φ ≥ dead_phi` declares [`SuspicionLevel::Dead`] and marks the node
 //!   dead in the shared [`RouteTable`] — exactly the state the front end's
 //!   `poll_failures`/`heal_failures` path already consumes, so detection
@@ -90,8 +90,7 @@ pub struct SuspicionEntry {
     pub phi: f64,
 }
 
-/// Shared, read-only view of the monitor's per-node suspicion state
-/// (exported as the `/metrics` per-child suspicion gauge).
+/// Shared, read-only view of the monitor's per-node suspicion state.
 #[derive(Debug, Default)]
 pub struct SuspicionTable {
     inner: Mutex<HashMap<NodePos, SuspicionEntry>>,
@@ -139,7 +138,7 @@ pub fn phi(elapsed: Duration, mean: Duration, stddev: Duration) -> f64 {
 }
 
 /// Handle on a running suspicion monitor: dropping it stops the thread.
-/// Obtained from `FrontEndpoint::start_suspicion`.
+/// Obtained from `Maintenance::start_suspicion`.
 #[derive(Debug)]
 pub struct SuspicionHandle {
     stop: Arc<AtomicBool>,
@@ -242,7 +241,7 @@ fn monitor_loop(
         // Evaluation sweep.
         hist.retain(|pos, _| {
             // Repaired-away (or never-routed) nodes unenroll; their stale
-            // suspicion rows would otherwise outlive them in /metrics.
+            // suspicion rows would otherwise outlive them in the table.
             if !route.is_routed(*pos) {
                 table.remove(*pos);
                 false

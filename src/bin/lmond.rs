@@ -8,7 +8,6 @@
 //! lmond launch  APP NODES TASKS_PER_NODE [BODY] [--socket ... | --tcp ...]
 //! lmond runjob  APP NODES TASKS_PER_NODE [...]
 //! lmond attach  PID [PID...] [BODY] [...]
-//! lmond upgrade [SHAPE] [...]
 //! lmond detach  GSID   [...]
 //! lmond kill    GSID   [...]
 //! lmond metrics [...]
@@ -17,9 +16,7 @@
 //!
 //! `runjob` starts a plain (tool-free) job and prints the launcher pid;
 //! `attach` then attaches tool daemons to that pid — the paper's
-//! attach-to-running-job workflow over the control socket. `upgrade` runs a
-//! rolling comm-daemon upgrade drill (drain → hot-spare takeover → verify;
-//! DESIGN.md §12) and prints per-step drain latency percentiles.
+//! attach-to-running-job workflow over the control socket.
 //!
 //! Client subcommands lazily start a daemon when `--socket` is used and no
 //! daemon is serving (bind-as-mutex; see `lmon_daemon::client`). `serve`
@@ -42,7 +39,7 @@ fn say(text: impl std::fmt::Display) {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: lmond <serve|ping|status|launch|runjob|attach|upgrade|detach|kill|metrics|stop> \
+        "usage: lmond <serve|ping|status|launch|runjob|attach|detach|kill|metrics|stop> \
          [args] [--socket PATH] [--tcp ADDR]\n       see `src/bin/lmond.rs` docs for details"
     );
     ExitCode::FAILURE
@@ -225,14 +222,6 @@ fn run() -> Result<(), String> {
             let resp = connect(&opts)?.attach(&pids, body).map_err(|e| e.to_string())?;
             for gsid in resp.gsids {
                 say(gsid);
-            }
-            Ok(())
-        }
-        "upgrade" => {
-            let shape = opts.positional.first().map(String::as_str);
-            let resp = connect(&opts)?.upgrade(shape).map_err(|e| e.to_string())?;
-            for (k, v) in &resp.raw().fields {
-                say(format_args!("{k}={v}"));
             }
             Ok(())
         }

@@ -1,23 +1,22 @@
-//! Control-protocol v2 negotiation (ISSUE 10 satellites).
+//! The control-protocol handshake and the control-line bound.
 //!
-//! The wire contract under test: the client speaks first with `HELLO
-//! [version]`, the server banners `LMOND 2 versions=1,2`, and the
-//! connection settles on `min(client, server)`. A v1 client — one that
-//! sends a bare `HELLO`, or nothing at all — keeps working against the v2
-//! server, and unknown verbs come back as a *typed* `unsupported-verb`
-//! error naming the connection's negotiated version and the server's
-//! supported set, never as a generic parse failure.
+//! The wire contract under test: the client speaks first with an optional
+//! `HELLO [n]`, the server answers the one banner whatever `n` is, and the
+//! connection then speaks the one grammar — a client that skips the
+//! handshake included. Unknown verbs come back as a *typed*
+//! `unsupported-verb` error, never as a generic parse failure, and a line
+//! past `MAX_CONTROL_LINE` gets a typed `line-too-long` error instead of
+//! growing the daemon's memory.
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 
 use launchmon::daemon::client::scratch_socket_path;
-use launchmon::daemon::{
-    bind_and_start, DaemonClient, DaemonConfig, DaemonHandle, PROTOCOL_VERSION,
-};
+use launchmon::daemon::control::{HELLO_BANNER, MAX_CONTROL_LINE};
+use launchmon::daemon::{bind_and_start, DaemonClient, DaemonConfig, DaemonHandle};
 
 /// A line-oriented client with no protocol smarts at all: what a shell
 /// script holding `nc -U` sees.
@@ -60,73 +59,73 @@ fn daemon_up(tag: &str) -> (DaemonHandle, PathBuf) {
     (handle, socket)
 }
 
-/// A v1 client (bare `HELLO`, no version argument) against the v2 server:
-/// the banner advertises both versions, every v1 verb still works, and
-/// unknown verbs name the connection's v1 negotiation in their error.
+/// Every way a client can open a connection — no `HELLO`, a bare `HELLO`,
+/// or `HELLO` naming any version — gets the same banner and the same
+/// replies afterwards. `UPGRADE` is an unknown verb.
 #[test]
-fn v1_client_against_v2_server_round_trips() {
-    let (handle, socket) = daemon_up("proto-v1");
+fn every_hello_gets_one_protocol() {
+    let (handle, socket) = daemon_up("proto-hello");
+    for hello in [None, Some("HELLO"), Some("HELLO 1"), Some("HELLO 2"), Some("HELLO 99")] {
+        let mut raw = RawClient::connect(&socket);
+        if let Some(hello) = hello {
+            assert_eq!(raw.roundtrip(hello), format!("{HELLO_BANNER}\n"), "{hello:?}");
+        }
+        let pong = raw.roundtrip("PING");
+        assert!(pong.starts_with("OK pong=1"), "{hello:?}: PING answered {pong:?}");
+        assert_eq!(raw.roundtrip("FROB"), "ERR unsupported-verb \"FROB\"\n", "{hello:?}");
+        assert_eq!(raw.roundtrip("UPGRADE"), "ERR unsupported-verb \"UPGRADE\"\n", "{hello:?}");
+        // A parse error never wedges the connection.
+        assert!(raw.roundtrip("PING").starts_with("OK pong=1"), "{hello:?}");
+    }
+
+    // A malformed version is still rejected, and the typed client's
+    // handshake sees the same banner.
     let mut raw = RawClient::connect(&socket);
-
-    let banner = raw.roundtrip("HELLO");
-    assert_eq!(banner, "LMOND 2 versions=1,2\n", "banner must advertise the full supported set");
-
-    let pong = raw.roundtrip("PING");
-    assert!(pong.starts_with("OK pong=1"), "v1 PING must keep working, got {pong:?}");
-
-    // The typed unknown-verb error: the connection negotiated v1, and the
-    // reply says so while naming what the server *does* speak.
-    let err = raw.roundtrip("FROB");
-    assert_eq!(err, "ERR unsupported-verb \"FROB\" version=1 supported=1,2\n");
-
-    // A parse error never wedges the connection.
-    let pong = raw.roundtrip("PING");
-    assert!(pong.starts_with("OK pong=1"));
+    assert_eq!(raw.roundtrip("HELLO two"), "ERR bad protocol version: \"two\"\n");
+    let typed = DaemonClient::connect_unix(&socket).expect("typed connect");
+    assert_eq!(typed.banner(), HELLO_BANNER);
+    assert!(HELLO_BANNER.starts_with("LMOND"), "clients prefix-match the banner");
 
     handle.shutdown();
     let _ = std::fs::remove_file(&socket);
 }
 
-/// A client that never sends `HELLO` at all (the pre-handshake grammar,
-/// which v1 scripts rely on) is treated as v1.
+/// A peer that streams past `MAX_CONTROL_LINE` bytes without a newline is
+/// answered `ERR line-too-long` and disconnected; the daemon keeps serving
+/// everyone else.
 #[test]
-fn silent_client_defaults_to_v1() {
-    let (handle, socket) = daemon_up("proto-silent");
+fn overlong_line_is_refused_and_the_daemon_keeps_serving() {
+    let (handle, socket) = daemon_up("proto-longline");
     let mut raw = RawClient::connect(&socket);
 
-    let err = raw.roundtrip("FROB");
-    assert_eq!(err, "ERR unsupported-verb \"FROB\" version=1 supported=1,2\n");
-    let pong = raw.roundtrip("PING");
-    assert!(pong.starts_with("OK pong=1"), "no-HELLO clients keep the v1 grammar");
+    // Stream from a second thread, so the reply can be read while the
+    // writer is still pushing bytes (or is stopped by the closed socket).
+    let mut flood = raw.writer.try_clone().expect("clone stream");
+    let streamer = std::thread::spawn(move || {
+        let chunk = [b'x'; 4096];
+        let mut sent = 0usize;
+        while sent <= 4 * MAX_CONTROL_LINE {
+            match flood.write(&chunk) {
+                Ok(n) => sent += n,
+                Err(_) => break, // the daemon hung up, as it should
+            }
+        }
+        sent
+    });
+    let reply = raw.read_line();
+    assert_eq!(reply, format!("ERR line-too-long limit={MAX_CONTROL_LINE}\n"));
+    let sent = streamer.join().expect("streamer");
+    assert!(sent > MAX_CONTROL_LINE, "streamed {sent} bytes");
+    // Closed: EOF, or a reset because the streamed bytes went unread.
+    let mut rest = String::new();
+    match raw.reader.read_line(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("connection still open: {other:?} {rest:?}"),
+    }
 
-    handle.shutdown();
-    let _ = std::fs::remove_file(&socket);
-}
-
-/// End-to-end v2 negotiation: the typed client offers its version, settles
-/// on 2, and a raw `HELLO 2` connection's unknown-verb errors name v2. A
-/// client offering a *future* version is clamped to the server's maximum
-/// rather than rejected.
-#[test]
-fn v2_negotiation_end_to_end() {
-    let (handle, socket) = daemon_up("proto-v2");
-
-    let mut typed = DaemonClient::connect_unix(&socket).expect("typed connect");
-    assert_eq!(PROTOCOL_VERSION, 2);
-    assert_eq!(typed.negotiated_version(), 2, "typed client must settle on v2");
-    assert_eq!(typed.banner(), "LMOND 2 versions=1,2");
-    typed.ping().expect("v2 ping");
-
-    let mut raw = RawClient::connect(&socket);
-    assert_eq!(raw.roundtrip("HELLO 2"), "LMOND 2 versions=1,2\n");
-    let err = raw.roundtrip("FROB");
-    assert_eq!(err, "ERR unsupported-verb \"FROB\" version=2 supported=1,2\n");
-
-    // A v3 offer negotiates down to 2, not to a refusal.
-    let mut eager = RawClient::connect(&socket);
-    assert_eq!(eager.roundtrip("HELLO 3"), "LMOND 2 versions=1,2\n");
-    let err = eager.roundtrip("FROB");
-    assert_eq!(err, "ERR unsupported-verb \"FROB\" version=2 supported=1,2\n");
+    let mut fresh = RawClient::connect(&socket);
+    assert!(fresh.roundtrip("PING").starts_with("OK pong=1"));
 
     handle.shutdown();
     let _ = std::fs::remove_file(&socket);
