@@ -201,6 +201,7 @@ fn monitor_loop(
     let poll = (params.beat_interval / 2).max(Duration::from_millis(1));
     let window = params.window.max(2);
     let mut hist: HashMap<NodePos, History> = HashMap::new();
+    let mut last_sweep = Instant::now();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -217,6 +218,17 @@ fn monitor_loop(
         }
         arrivals.extend(beat_rx.try_iter());
         let now = Instant::now();
+        // The monitor wakes at least every `poll`. A longer gap means it
+        // was itself descheduled (CPU contention, a stopped process) and
+        // saw nothing meanwhile; credit that time to every node rather
+        // than reading the monitor's own pause as their silence.
+        let paused = now.saturating_duration_since(last_sweep).saturating_sub(params.beat_interval);
+        last_sweep = now;
+        if !paused.is_zero() {
+            for h in hist.values_mut() {
+                h.last = (h.last + paused).min(now);
+            }
+        }
         stats.add_beats(arrivals.len() as u64);
         for pos in arrivals {
             match hist.get_mut(&pos) {
@@ -276,10 +288,14 @@ fn monitor_loop(
             {
                 stats.add_suspicions(1);
             }
-            if level == SuspicionLevel::Dead && route.mark_dead(*pos) {
-                stats.add_suspicion_deaths(1);
-            }
+            // Record the row (and the death) before the route mark makes
+            // the death visible: whoever sees the node dead in the route
+            // table also sees it Dead here and counted.
             table.set(*pos, SuspicionEntry { level, phi: p });
+            if level == SuspicionLevel::Dead && route.is_alive(*pos) {
+                stats.add_suspicion_deaths(1);
+                route.mark_dead(*pos);
+            }
         }
     }
 }

@@ -59,32 +59,63 @@ fn daemon_up(tag: &str) -> (DaemonHandle, PathBuf) {
     (handle, socket)
 }
 
-/// Every way a client can open a connection — no `HELLO`, a bare `HELLO`,
-/// or `HELLO` naming any version — gets the same banner and the same
-/// replies afterwards. `UPGRADE` is an unknown verb.
-#[test]
-fn every_hello_gets_one_protocol() {
-    let (handle, socket) = daemon_up("proto-hello");
-    for hello in [None, Some("HELLO"), Some("HELLO 1"), Some("HELLO 2"), Some("HELLO 99")] {
-        let mut raw = RawClient::connect(&socket);
-        if let Some(hello) = hello {
-            assert_eq!(raw.roundtrip(hello), format!("{HELLO_BANNER}\n"), "{hello:?}");
-        }
-        let pong = raw.roundtrip("PING");
-        assert!(pong.starts_with("OK pong=1"), "{hello:?}: PING answered {pong:?}");
-        assert_eq!(raw.roundtrip("FROB"), "ERR unsupported-verb \"FROB\"\n", "{hello:?}");
-        assert_eq!(raw.roundtrip("UPGRADE"), "ERR unsupported-verb \"UPGRADE\"\n", "{hello:?}");
-        // A parse error never wedges the connection.
-        assert!(raw.roundtrip("PING").starts_with("OK pong=1"), "{hello:?}");
-    }
+/// The opening every client of the one protocol gets, checked on a fresh
+/// raw connection after its optional `HELLO`: `PING` answers, unknown verbs
+/// (`UPGRADE` among them) are typed errors, and a parse error never wedges
+/// the connection.
+fn speaks_the_one_grammar(raw: &mut RawClient, hello: Option<&str>) {
+    let pong = raw.roundtrip("PING");
+    assert!(pong.starts_with("OK pong=1"), "{hello:?}: PING answered {pong:?}");
+    assert_eq!(raw.roundtrip("FROB"), "ERR unsupported-verb \"FROB\"\n", "{hello:?}");
+    assert_eq!(raw.roundtrip("UPGRADE"), "ERR unsupported-verb \"UPGRADE\"\n", "{hello:?}");
+    assert!(raw.roundtrip("PING").starts_with("OK pong=1"), "{hello:?}");
+}
 
-    // A malformed version is still rejected, and the typed client's
-    // handshake sees the same banner.
+/// A client written against the original grammar — a bare `HELLO`, or
+/// `HELLO 1` — gets the one banner and keeps working verb for verb.
+#[test]
+fn v1_client_against_v2_server_round_trips() {
+    let (handle, socket) = daemon_up("proto-v1");
+    for hello in ["HELLO", "HELLO 1"] {
+        let mut raw = RawClient::connect(&socket);
+        assert_eq!(raw.roundtrip(hello), format!("{HELLO_BANNER}\n"), "{hello:?}");
+        speaks_the_one_grammar(&mut raw, Some(hello));
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_file(&socket);
+}
+
+/// A client that never sends `HELLO` at all (the pre-handshake grammar
+/// shell scripts rely on) speaks the same protocol as everyone else.
+#[test]
+fn silent_client_defaults_to_v1() {
+    let (handle, socket) = daemon_up("proto-silent");
     let mut raw = RawClient::connect(&socket);
-    assert_eq!(raw.roundtrip("HELLO two"), "ERR bad protocol version: \"two\"\n");
-    let typed = DaemonClient::connect_unix(&socket).expect("typed connect");
+    speaks_the_one_grammar(&mut raw, None);
+    handle.shutdown();
+    let _ = std::fs::remove_file(&socket);
+}
+
+/// The typed client's handshake sees the one banner; `HELLO 2` and a
+/// future `HELLO 99` get it too rather than a refusal, and only a
+/// malformed version is rejected.
+#[test]
+fn v2_negotiation_end_to_end() {
+    let (handle, socket) = daemon_up("proto-v2");
+
+    let mut typed = DaemonClient::connect_unix(&socket).expect("typed connect");
     assert_eq!(typed.banner(), HELLO_BANNER);
     assert!(HELLO_BANNER.starts_with("LMOND"), "clients prefix-match the banner");
+    typed.ping().expect("typed ping");
+
+    for hello in ["HELLO 2", "HELLO 99"] {
+        let mut raw = RawClient::connect(&socket);
+        assert_eq!(raw.roundtrip(hello), format!("{HELLO_BANNER}\n"), "{hello:?}");
+        speaks_the_one_grammar(&mut raw, Some(hello));
+    }
+
+    let mut raw = RawClient::connect(&socket);
+    assert_eq!(raw.roundtrip("HELLO two"), "ERR bad protocol version: \"two\"\n");
 
     handle.shutdown();
     let _ = std::fs::remove_file(&socket);
